@@ -100,9 +100,6 @@ pub struct ExecStats {
 struct BackendMeta {
     name: String,
     caps: BackendCaps,
-    /// Mirror of the driver's shot ledger, refreshed by the worker after every executed
-    /// group — consistent whenever the jobs a caller cares about have completed.
-    shots: AtomicU64,
 }
 
 /// A job sitting in a client queue (or the executor's retry queue).
@@ -162,13 +159,6 @@ fn sheds_before(a: &QueuedJob, b: &QueuedJob) -> bool {
     }
 }
 
-enum Control {
-    ResetShots {
-        backend: usize,
-        ack: Arc<(Mutex<bool>, Condvar)>,
-    },
-}
-
 /// Lifecycle of a client's queue slot: slots are reused so a long-lived executor
 /// serving many short-lived clients (every TreeVQA run registers a handful) does not
 /// accumulate dead queues.
@@ -208,7 +198,6 @@ struct QueueState {
     /// Nesting depth of [`Executor::pause`]; scheduling runs only at 0.
     pause_depth: usize,
     shutdown: bool,
-    controls: VecDeque<Control>,
 }
 
 impl QueueState {
@@ -263,7 +252,7 @@ impl Drop for SlotGuard {
 /// State shared between the submission side and the worker thread.
 pub(crate) struct Shared {
     queue: Mutex<QueueState>,
-    /// Wakes the worker (new jobs, resume, shutdown, controls).
+    /// Wakes the worker (new jobs, resume, shutdown).
     work_cv: Condvar,
     /// Wakes `wait_idle` callers.
     idle_cv: Condvar,
@@ -546,11 +535,7 @@ impl ExecutorBuilder {
         let mut drivers = Vec::with_capacity(self.backends.len());
         let mut meta = Vec::with_capacity(self.backends.len());
         for (name, backend, caps) in self.backends {
-            meta.push(BackendMeta {
-                name,
-                caps,
-                shots: AtomicU64::new(backend.shots_used()),
-            });
+            meta.push(BackendMeta { name, caps });
             drivers.push(backend);
         }
         let shared = Arc::new(Shared {
@@ -708,40 +693,6 @@ impl Executor {
     /// via [`qobs::export`] (summary table, JSON, Prometheus text).
     pub fn observability(&self) -> Arc<qobs::Registry> {
         Arc::clone(&self.shared.obs)
-    }
-
-    /// Total shots the named backend has charged, as of its most recently completed
-    /// job.  Consistent whenever the jobs the caller cares about have completed (e.g.
-    /// after waiting on their handles or [`Executor::wait_idle`]).
-    pub fn shots_used(&self, backend: &str) -> Result<u64, ExecError> {
-        let idx = self.shared.backend_index(backend)?;
-        Ok(self.shared.meta[idx].shots.load(Ordering::SeqCst))
-    }
-
-    /// Resets the named backend's shot ledger.  Blocks until the worker has applied the
-    /// reset; jobs already queued when this is called may execute before or after the
-    /// reset, so callers reusing a backend across experiment arms should
-    /// [`Executor::wait_idle`] first.
-    pub fn reset_shots(&self, backend: &str) -> Result<(), ExecError> {
-        let idx = self.shared.backend_index(backend)?;
-        let ack = Arc::new((Mutex::new(false), Condvar::new()));
-        {
-            let mut q = self.shared.queue.lock().unwrap();
-            if q.shutdown {
-                return Err(ExecError::ShutDown);
-            }
-            q.controls.push_back(Control::ResetShots {
-                backend: idx,
-                ack: Arc::clone(&ack),
-            });
-        }
-        self.shared.work_cv.notify_all();
-        let (done, cv) = &*ack;
-        let mut done = done.lock().unwrap();
-        while !*done {
-            done = cv.wait(done).unwrap();
-        }
-        Ok(())
     }
 
     /// Pauses scheduling: queued and newly submitted jobs accumulate but do not
@@ -1212,13 +1163,6 @@ fn run_single(
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 driver.evaluate_batch(std::slice::from_ref(&request))
             }));
-            shared.meta[backend].shots.store(
-                drivers[backend]
-                    .as_ref()
-                    .expect("backend owned by this worker")
-                    .shots_used(),
-                Ordering::SeqCst,
-            );
             match outcome {
                 Ok(mut results) => g.state.complete(Ok(results.remove(0))),
                 Err(payload) => {
@@ -1243,6 +1187,7 @@ fn run_single(
                     charged,
                     free: Vec::new(),
                     shots: 0,
+                    draws: 0,
                 })),
                 Err(payload) => {
                     handle_panic(shared, payload, backend, std::slice::from_ref(g), retry_out);
@@ -1267,11 +1212,6 @@ enum WorkerMsg {
         backend: usize,
         job: QueuedJob,
         reply: Sender<WaveReply>,
-    },
-    /// Reset the shot counter of an owned backend and acknowledge.
-    ResetShots {
-        backend: usize,
-        ack: Arc<(Mutex<bool>, Condvar)>,
     },
 }
 
@@ -1322,36 +1262,14 @@ impl DriverPool {
         }
         DriverPool::Threads { senders, handles }
     }
-
-    /// Routes a shot-counter reset to whoever owns the backend's driver.
-    fn reset_shots(&mut self, shared: &Shared, backend: usize, ack: Arc<(Mutex<bool>, Condvar)>) {
-        match self {
-            DriverPool::Inline(drivers) => {
-                let driver = drivers[backend].as_mut().expect("backend owned inline");
-                driver.reset_shots();
-                shared.meta[backend]
-                    .shots
-                    .store(driver.shots_used(), Ordering::SeqCst);
-                let (done, cv) = &*ack;
-                *done.lock().unwrap() = true;
-                cv.notify_all();
-            }
-            DriverPool::Threads { senders, .. } => {
-                let workers = senders.len();
-                senders[backend % workers]
-                    .send(WorkerMsg::ResetShots { backend, ack })
-                    .expect("pool worker alive");
-            }
-        }
-    }
 }
 
 impl Drop for DriverPool {
     fn drop(&mut self) {
         if let DriverPool::Threads { senders, handles } = self {
             // Closing the channels ends each worker's run loop after it drains any
-            // in-flight messages (including pending shot-reset acks); join so every
-            // driver is dropped before the executor reports shutdown complete.
+            // in-flight messages; join so every driver is dropped before the executor
+            // reports shutdown complete.
             senders.clear();
             for handle in handles.drain(..) {
                 let _ = handle.join();
@@ -1360,8 +1278,8 @@ impl Drop for DriverPool {
     }
 }
 
-/// The run loop of a pool execution worker: serves wave/single/reset messages over its
-/// owned drivers until the scheduler drops the sending side at shutdown.
+/// The run loop of a pool execution worker: serves wave/single messages over its owned
+/// drivers until the scheduler drops the sending side at shutdown.
 fn pool_worker_loop(
     shared: &Shared,
     mut drivers: Vec<Option<Box<dyn Backend + Send>>>,
@@ -1390,18 +1308,6 @@ fn pool_worker_loop(
                     retries,
                     quarantined: Vec::new(),
                 });
-            }
-            WorkerMsg::ResetShots { backend, ack } => {
-                let driver = drivers[backend]
-                    .as_mut()
-                    .expect("backend owned by this worker");
-                driver.reset_shots();
-                shared.meta[backend]
-                    .shots
-                    .store(driver.shots_used(), Ordering::SeqCst);
-                let (done, cv) = &*ack;
-                *done.lock().unwrap() = true;
-                cv.notify_all();
             }
         }
     }
@@ -1518,13 +1424,6 @@ fn execute_backend_wave(
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             driver.evaluate_batch(&requests)
         }));
-        shared.meta[backend].shots.store(
-            drivers[backend]
-                .as_ref()
-                .expect("backend owned by this worker")
-                .shots_used(),
-            Ordering::SeqCst,
-        );
         match outcome {
             Ok(results) => {
                 for (g, result) in evals.iter().zip(results) {
@@ -1668,8 +1567,7 @@ fn sweep_expired(shared: &Shared, q: &mut QueueState) {
     }
 }
 
-/// The scheduler loop: builds slates, assigns sequence numbers, serves controls, and
-/// drives the pool.  With `workers = 1` it also executes everything itself (the pool
+/// The scheduler loop: builds slates, assigns sequence numbers, and drives the pool.  With `workers = 1` it also executes everything itself (the pool
 /// is inline); with more workers it dispatches waves and barriers on their replies.
 fn worker_loop(shared: &Arc<Shared>, drivers: Vec<Box<dyn Backend + Send>>, workers: usize) {
     let mut pool = DriverPool::build(shared, drivers, workers);
@@ -1677,13 +1575,6 @@ fn worker_loop(shared: &Arc<Shared>, drivers: Vec<Box<dyn Backend + Send>>, work
         let slate = {
             let mut q = shared.queue.lock().unwrap();
             loop {
-                while let Some(control) = q.controls.pop_front() {
-                    match control {
-                        Control::ResetShots { backend, ack } => {
-                            pool.reset_shots(shared, backend, ack);
-                        }
-                    }
-                }
                 if q.shutdown {
                     // Fail whatever is still queued so no handle waits forever.
                     for queue in &mut q.queues {

@@ -5,10 +5,13 @@
 //! by hand onto the job API: every optimizer phase's candidates ([`qopt::Optimizer`]'s
 //! propose/observe protocol) are submitted as owned jobs to an [`ExecClient`] and the
 //! values observed from their handles, so the same loop transparently shares an executor
-//! with other clients.  Every candidate job draws from its own stream pinned at
-//! submission (see the crate-level schedule-independence contract), so a run is a pure
-//! function of the configuration and root seed — reproducible bit-for-bit across fresh
-//! executors, any worker count, and any co-tenant clients sharing the service.
+//! with other clients.  The runners submit without an explicit `rng_stream`, so each
+//! candidate job draws from the default stream derived from its executor-wide
+//! submission id (see the crate-level schedule-independence contract).  A run is
+//! therefore reproducible bit-for-bit on a fresh executor at any worker count, but a
+//! co-tenant client submitting to the same executor shifts those ids and with them
+//! the draws of stochastic backends; pin streams per job when runs must be
+//! independent of co-tenants.
 
 use crate::error::ExecError;
 use crate::executor::Executor;

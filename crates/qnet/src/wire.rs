@@ -36,8 +36,9 @@ use vqa::{BackendCaps, EvalResult, InitialState};
 /// Frame magic: `"QNET"` as a little-endian `u32`.
 pub const MAGIC: u32 = 0x514E_4554;
 
-/// Protocol version; bumped on any incompatible layout change.
-pub const VERSION: u8 = 1;
+/// Protocol version; bumped on any incompatible layout change.  Version 2 added the
+/// per-job RNG draw count to the `Result` payload.
+pub const VERSION: u8 = 2;
 
 /// Default cap on a frame's payload size (8 MiB), overridable per endpoint (the
 /// server reads `QNET_MAX_FRAME`).  Both sides enforce it: readers refuse to buffer a
@@ -699,6 +700,7 @@ fn put_result(out: &mut Vec<u8>, result: &EvalResult) {
         put_f64(out, *v);
     }
     put_u64(out, result.shots);
+    put_u64(out, result.draws);
 }
 
 fn get_result(c: &mut Cursor<'_>) -> DecodeResult<EvalResult> {
@@ -709,10 +711,12 @@ fn get_result(c: &mut Cursor<'_>) -> DecodeResult<EvalResult> {
         free.push(c.f64()?);
     }
     let shots = c.u64()?;
+    let draws = c.u64()?;
     Ok(EvalResult {
         charged,
         free,
         shots,
+        draws,
     })
 }
 

@@ -136,11 +136,12 @@ impl TrajectorySampler {
     }
 
     /// Samples the insertion schedule of trajectory `trajectory` under stream seed
-    /// `seed` into `out` (cleared first), sorted by insertion point.
-    pub fn sample_into(&self, seed: u64, trajectory: u64, out: &mut Vec<PauliInsertion>) {
+    /// `seed` into `out` (cleared first), sorted by insertion point.  Returns the
+    /// number of `qrng` draws the schedule consumed.
+    pub fn sample_into(&self, seed: u64, trajectory: u64, out: &mut Vec<PauliInsertion>) -> u64 {
         out.clear();
         if self.draws.is_empty() {
-            return;
+            return 0;
         }
         let mut rng = qrng::CounterRng::new(trajectory_seed(seed, trajectory));
         for draw in &self.draws {
@@ -200,6 +201,7 @@ impl TrajectorySampler {
         // indices are not necessarily monotonic; the executor requires sorted order.
         // The sort is stable: same-op errors keep their source-gate firing order.
         out.sort_by_key(|ins| ins.after_op);
+        rng.draws()
     }
 
     /// Allocating convenience form of [`TrajectorySampler::sample_into`].

@@ -39,15 +39,13 @@
 //!
 //! ## Draw accounting
 //!
-//! Every [`CounterRng`] draw bumps a process-wide relaxed counter, readable via
-//! [`total_draws`].  The schedule-independence suite uses deltas of this counter to
-//! assert that different executor schedules perform *identical* draw work, not just
-//! identical results.
+//! A generator's draw count is its counter ([`CounterRng::draws`]): there is no
+//! process-wide tally.  Backends report the draws each request made as
+//! `vqa::EvalResult::draws`, next to its shots, so two schedules are compared by
+//! their per-job draw counts rather than by a shared side effect.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Golden-ratio increment (SplitMix64's gamma); also the counter multiplier in
 /// [`mix`].
@@ -65,8 +63,6 @@ const DOMAIN_EVAL: u64 = 0x4556_414C_5F4F_5244; // "EVAL_ORD"
 /// Domain-separation constant for substream derivation.
 const DOMAIN_SUB: u64 = 0x5355_425F_5354_5245; // "SUB_STRE"
 
-static TOTAL_DRAWS: AtomicU64 = AtomicU64::new(0);
-
 /// The counter-mode block function: a stateless 64-bit hash of `(key, counter)`
 /// built from SplitMix64's finalizer.
 ///
@@ -79,14 +75,6 @@ pub const fn mix(key: u64, counter: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Total [`CounterRng`] draws performed by this process (relaxed, monotone).
-///
-/// Take deltas around a workload to compare the draw *work* of two schedules; the
-/// schedule-independence suite asserts the deltas match across worker counts.
-pub fn total_draws() -> u64 {
-    TOTAL_DRAWS.load(Ordering::Relaxed)
 }
 
 /// An opaque derived stream key: the middle level of the `root → stream →
@@ -248,7 +236,6 @@ impl rand::Rng for CounterRng {
     fn next_u64(&mut self) -> u64 {
         let value = mix(self.key, self.counter);
         self.counter += 1;
-        TOTAL_DRAWS.fetch_add(1, Ordering::Relaxed);
         value
     }
 }
@@ -341,15 +328,5 @@ mod tests {
             acc += rng.normal();
         }
         assert!((acc / 4_000.0).abs() < 0.1, "normal mean {}", acc / 4_000.0);
-    }
-
-    #[test]
-    fn total_draws_counts_every_draw() {
-        let before = total_draws();
-        let mut rng = CounterRng::new(3);
-        for _ in 0..32 {
-            let _ = rng.next_u64();
-        }
-        assert!(total_draws() - before >= 32);
     }
 }

@@ -74,6 +74,10 @@ pub struct EvalResult {
     pub free: Vec<f64>,
     /// Shots charged for this request (lets callers attribute cost per request).
     pub shots: u64,
+    /// `qrng` draws made for this request: trajectory schedules plus shot sampling.
+    /// Always 0 for exact and Pauli-propagation evaluation.  Callers account a run's
+    /// shots and draws by summing these per-request fields.
+    pub draws: u64,
 }
 
 /// What an execution substrate can do, advertised to the `qexec` execution service for
@@ -572,6 +576,7 @@ impl Backend for StatevectorBackend {
                     charged,
                     free,
                     shots: self.shots_per_pauli * req.charged_op.num_terms() as u64,
+                    draws: 0,
                 });
             }
         }
@@ -627,6 +632,9 @@ impl Backend for StatevectorBackend {
 /// The one serial batch loop: the [`Backend::evaluate_batch`] trait default delegates
 /// here, and overriding implementations reuse it for their fallback paths (mixed-circuit
 /// batches), so the request-order semantics live in exactly one place.
+///
+/// [`Backend::evaluate`] reports no draw count, so every result records 0 draws: a
+/// backend that draws randomness overrides `evaluate_batch` to report its draws.
 pub(crate) fn default_serial_batch<B: Backend + ?Sized>(
     backend: &mut B,
     requests: &[EvalRequest<'_>],
@@ -641,6 +649,7 @@ pub(crate) fn default_serial_batch<B: Backend + ?Sized>(
                 charged,
                 free,
                 shots: backend.shots_used() - before,
+                draws: 0,
             }
         })
         .collect()
@@ -725,6 +734,7 @@ impl SampledBackend {
             charged,
             free,
             shots: self.shots_per_pauli * req.charged_op.num_terms() as u64,
+            draws: rng.draws(),
         }
     }
 }
@@ -797,6 +807,7 @@ impl Backend for SampledBackend {
                     charged,
                     free,
                     shots: self.shots_per_pauli * req.charged_op.num_terms() as u64,
+                    draws: rng.draws(),
                 });
             }
         }
@@ -946,6 +957,7 @@ impl NoisyBackend {
             charged,
             free,
             shots: self.shots_per_pauli * req.charged_op.num_terms() as u64,
+            draws: rng.draws(),
         }
     }
 }
@@ -1226,9 +1238,14 @@ mod tests {
         let mut batched = SampledBackend::new(256, 42);
         let results = batched.evaluate_batch(&requests);
         let mut serial = SampledBackend::new(256, 42);
-        for (c, r) in candidates.iter().zip(&results) {
-            let (charged, _) = serial.evaluate(&circuit, c, &InitialState::Basis(0), &h1, &[]);
-            assert_eq!(charged, r.charged, "batched sampling must match serial");
+        for (req, r) in requests.iter().zip(&results) {
+            let expected = serial.eval_one(req);
+            assert_eq!(
+                expected.charged, r.charged,
+                "batched sampling must match serial"
+            );
+            assert_eq!(expected.draws, r.draws, "batched draws must match serial");
+            assert!(r.draws > 0, "shot sampling draws per request");
         }
     }
 

@@ -6,9 +6,7 @@
 //! [`ZneBackend`], and the TreeVQA controller and baseline runners see an ordinary
 //! [`Backend`].
 
-use crate::backend::{
-    default_serial_batch, uniform_circuit, Backend, CircuitCache, EvalRequest, EvalResult,
-};
+use crate::backend::{uniform_circuit, Backend, CircuitCache, EvalRequest, EvalResult};
 use crate::task::InitialState;
 use qcircuit::Circuit;
 use qnoise::{fold_gates, richardson_extrapolate, DEFAULT_ZNE_SCALES};
@@ -124,6 +122,7 @@ impl<B: Backend> ZneBackend<B> {
             charged,
             free,
             shots: per_scale.iter().map(|r| r.shots).sum(),
+            draws: per_scale.iter().map(|r| r.draws).sum(),
         }
     }
 }
@@ -137,25 +136,18 @@ impl<B: Backend> Backend for ZneBackend<B> {
         charged_op: &PauliOp,
         free_ops: &[&PauliOp],
     ) -> (f64, Vec<f64>) {
-        let scales = &self.scales;
-        let folded = self.folded.get_or_insert_with(circuit, |c| {
-            scales.iter().map(|&s| fold_gates(c, s)).collect()
-        });
-        let mut per_scale = Vec::with_capacity(folded.len());
-        for fc in folded {
-            let before = self.inner.shots_used();
-            let (charged, free) = self
-                .inner
-                .evaluate(fc, params, initial, charged_op, free_ops);
-            per_scale.push(EvalResult {
-                charged,
-                free,
-                shots: self.inner.shots_used() - before,
-            });
-        }
-        let rows: Vec<&EvalResult> = per_scale.iter().collect();
-        let combined = self.combine(&rows);
-        (combined.charged, combined.free)
+        let request = EvalRequest {
+            circuit,
+            params,
+            initial,
+            charged_op,
+            free_ops,
+            stream: None,
+        };
+        let result = self
+            .evaluate_batch(std::slice::from_ref(&request))
+            .remove(0);
+        (result.charged, result.free)
     }
 
     fn evaluate_batch(&mut self, requests: &[EvalRequest<'_>]) -> Vec<EvalResult> {
@@ -163,12 +155,14 @@ impl<B: Backend> Backend for ZneBackend<B> {
             return Vec::new();
         }
         // The hot path (TreeVQA submits one uniform-circuit batch per round) hits the
-        // same folded-circuit cache as `evaluate`, so the inner backend sees stable
-        // circuit allocations and its own compiled cache keeps hitting.  Mixed-circuit
-        // batches fall back to the serial loop, whose per-request `evaluate` calls also
-        // go through the cache.
+        // folded-circuit cache, so the inner backend sees stable circuit allocations
+        // and its own compiled cache keeps hitting.  Mixed-circuit batches run one
+        // request at a time through the same path, so per-request draws survive.
         let Some(circuit) = uniform_circuit(requests) else {
-            return default_serial_batch(self, requests);
+            return requests
+                .iter()
+                .flat_map(|r| self.evaluate_batch(std::slice::from_ref(r)))
+                .collect();
         };
         let scales = &self.scales;
         let folded = self.folded.get_or_insert_with(circuit, |c| {
@@ -317,6 +311,45 @@ mod tests {
         let results = zne.evaluate_batch(&requests);
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].shots, 3 * 7 * h.num_terms() as u64);
+        assert_eq!(results[0].draws, 0, "exact evaluation draws nothing");
+
+        // Over a trajectory backend, stream-pinned requests draw the same per request
+        // whether batched or run one at a time, summed over every scale.
+        let candidates: Vec<Vec<f64>> = (0..4)
+            .map(|k| params.iter().map(|p| p + 0.03 * k as f64).collect())
+            .collect();
+        let requests: Vec<EvalRequest<'_>> = candidates
+            .iter()
+            .enumerate()
+            .map(|(k, c)| EvalRequest {
+                circuit: &circuit,
+                params: c,
+                initial: &InitialState::Basis(0),
+                charged_op: &h,
+                free_ops: &[],
+                stream: Some(qrng::StreamId::for_job(k as u64)),
+            })
+            .collect();
+        let model = PauliNoiseModel::depolarizing(0.01, 0.03);
+        let make = || {
+            ZneBackend::new(
+                NoisyStatevectorBackend::new(model.clone(), 5, 11)
+                    .with_trajectories(4)
+                    .with_shot_sampling(),
+            )
+        };
+        let batched = make().evaluate_batch(&requests);
+        let mut serial = make();
+        for (req, r) in requests.iter().zip(&batched) {
+            let expected = serial.evaluate_batch(std::slice::from_ref(req)).remove(0);
+            assert_eq!(expected.charged.to_bits(), r.charged.to_bits());
+            assert_eq!(expected.shots, r.shots);
+            assert_eq!(expected.draws, r.draws);
+            assert!(
+                r.draws > 0,
+                "trajectories and shot sampling draw per request"
+            );
+        }
     }
 
     #[test]

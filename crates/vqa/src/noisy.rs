@@ -185,6 +185,9 @@ impl NoisyStatevectorBackend {
             })
             .collect();
 
+        // Per request: trajectory-schedule draws, then shot-sampling draws.
+        let mut draws = vec![0u64; requests.len()];
+
         let total_items = requests.len() * k;
         let mut schedules: Vec<Vec<PauliInsertion>> = Vec::new();
         for chunk_start in (0..total_items).step_by(batch_chunk()) {
@@ -194,8 +197,9 @@ impl NoisyStatevectorBackend {
             schedules.resize_with(chunk_len, Vec::new);
             for (slot, item) in (chunk_start..chunk_start + chunk_len).enumerate() {
                 let (req_idx, traj) = (item / k, (item % k) as u64);
-                plan.sampler
-                    .sample_into(eval_seeds[req_idx], traj, &mut schedules[slot]);
+                draws[req_idx] +=
+                    plan.sampler
+                        .sample_into(eval_seeds[req_idx], traj, &mut schedules[slot]);
             }
             let chunk_results: Vec<(Vec<f64>, Vec<Vec<f64>>)> =
                 run_indexed_chunk(chunk_len, num_qubits, &mut self.pool, |slot, state| {
@@ -245,12 +249,14 @@ impl NoisyStatevectorBackend {
                 .collect();
             let charged = if self.sample_shots {
                 let mut rng = self.policy.rng(streams[req_idx].substream(1));
-                qsim::analytic_sampled_from_expectations(
+                let charged = qsim::analytic_sampled_from_expectations(
                     req.charged_op,
                     &term_means,
                     self.shots_per_pauli,
                     &mut rng,
-                )
+                );
+                draws[req_idx] += rng.draws();
+                charged
             } else {
                 term_means
                     .iter()
@@ -278,6 +284,7 @@ impl NoisyStatevectorBackend {
                 charged,
                 free,
                 shots: self.shots_per_pauli * req.charged_op.num_terms() as u64,
+                draws: draws[req_idx],
             });
         }
         results
@@ -432,11 +439,18 @@ mod tests {
             let results = batched.evaluate_batch(&requests);
             let mut serial =
                 NoisyStatevectorBackend::new(model.clone(), 50, 4).with_trajectories(7);
-            for (c, r) in candidates.iter().zip(&results) {
-                let (charged, free) =
-                    serial.evaluate(&circuit, c, &InitialState::Basis(0), &h1, &free_ops);
-                assert_eq!(charged.to_bits(), r.charged.to_bits(), "batch {batch_size}");
-                assert_eq!(free[0].to_bits(), r.free[0].to_bits());
+            for (req, r) in requests.iter().zip(&results) {
+                let expected = serial
+                    .run_uniform(&circuit, std::slice::from_ref(req))
+                    .remove(0);
+                assert_eq!(
+                    expected.charged.to_bits(),
+                    r.charged.to_bits(),
+                    "batch {batch_size}"
+                );
+                assert_eq!(expected.free[0].to_bits(), r.free[0].to_bits());
+                assert_eq!(expected.draws, r.draws, "batch {batch_size}");
+                assert!(r.draws > 0, "trajectory schedules draw per request");
             }
             assert_eq!(batched.shots_used(), serial.shots_used());
         }

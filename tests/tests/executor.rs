@@ -108,14 +108,15 @@ fn run_clients(
 /// Replays every executed job one at a time through `backend`, keyed by the stream its
 /// handle reported — in **reverse** sequence order, to prove the replay is a per-job
 /// lookup rather than a ritual re-enactment of the schedule — and demands bit-identical
-/// charged/free values and equal shot charges.
+/// charged/free values and equal per-job shots and RNG draws.
 fn assert_stream_replay_bit_identical(
     executed: &[(EvalJob, qexec::EvalResult, u64, StreamId)],
     backend: &mut dyn Backend,
 ) {
+    let caps = backend.capabilities();
+    let stochastic = caps.shots || caps.trajectories;
     for (job, result, seq, stream) in executed.iter().rev() {
         let free_refs: Vec<&PauliOp> = job.free_ops.iter().map(|op| op.as_ref()).collect();
-        let before = backend.shots_used();
         let request = EvalRequest {
             circuit: &job.circuit,
             params: &job.params,
@@ -134,7 +135,9 @@ fn assert_stream_replay_bit_identical(
         for (a, b) in result.free.iter().zip(&replayed.free) {
             assert_eq!(a.to_bits(), b.to_bits(), "free value diverged at {seq}");
         }
-        assert_eq!(result.shots, backend.shots_used() - before);
+        assert_eq!(result.shots, replayed.shots, "shots diverged at {seq}");
+        assert_eq!(result.draws, replayed.draws, "draws diverged at {seq}");
+        assert_eq!(result.draws > 0, stochastic, "draws reported at {seq}");
     }
 }
 
@@ -328,6 +331,8 @@ fn cancellation_removes_queued_jobs_and_preserves_the_replay_of_the_rest() {
             .evaluate_batch(std::slice::from_ref(&request))
             .remove(0);
         assert_eq!(result.charged.to_bits(), replayed.charged.to_bits());
+        assert_eq!(result.draws, replayed.draws);
+        assert!(result.draws > 0, "sampled jobs report their draws");
     }
 }
 

@@ -560,5 +560,9 @@ fn sampled_backend_retries_bit_identically() {
             replayed.charged.to_bits(),
             "a rescued retry diverged from the fault-free stream replay"
         );
+        // The retried job reports the draws of the attempt that completed, not a sum
+        // over attempts.
+        assert_eq!(result.draws, replayed.draws);
+        assert!(result.draws > 0, "sampled jobs report their draws");
     }
 }

@@ -281,8 +281,8 @@ fn disabled_mode_records_no_spans() {
 }
 
 /// One job's resolution reduced to comparable bits: slate sequence, the
-/// `(shots, samples)` payload when it completed, and the expected span label.
-type ResolutionBits = (Option<u64>, Option<(u64, Vec<u64>)>, &'static str);
+/// `(charged, free, draws)` payload when it completed, and the expected span label.
+type ResolutionBits = (Option<u64>, Option<(u64, Vec<u64>, u64)>, &'static str);
 
 /// Runs the identical seeded fault workload through an executor with recording `on`,
 /// reducing every resolution to comparable bits.
@@ -326,6 +326,7 @@ fn traced_run(on: bool) -> Vec<ResolutionBits> {
                     (
                         r.charged.to_bits(),
                         r.free.iter().map(|v| v.to_bits()).collect(),
+                        r.draws,
                     )
                 }),
                 expected_label(&result),
